@@ -40,8 +40,9 @@ type Entry struct {
 // are recorded from the machine running benchjson — the same machine that
 // ran the benchmarks in the `make bench-json` pipeline — so every
 // trajectory record carries the parallelism context its workers>1 rows
-// must be read against (see BENCH.md: on a single-core host those rows
-// measure sharding overhead, not speedup).
+// must be read against: those rows shard the initial profile warm, and on
+// a single-core host they measure sharding overhead, not speedup (see
+// BENCH.md).
 type Document struct {
 	Goos       string  `json:"goos,omitempty"`
 	Goarch     string  `json:"goarch,omitempty"`

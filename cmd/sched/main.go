@@ -13,7 +13,8 @@
 //	sched -tree huge.json -mid -alg RecExpand -stream-sched sched.txt -checkpoint run.ckpt -resume
 //	sched -repair-sched sched.txt.partial
 //
-// -workers shards the expansion engine's postorder walk; -cache-budget
+// -workers shards the expansion engine's initial profile warm (the walk
+// itself is sequential); -cache-budget
 // bounds the resident bytes of its profile caches (out-of-core-scale
 // trees). Both knobs change only time and memory, never the result.
 // -stream-sched writes the traversal straight to disk segment by segment
@@ -60,7 +61,7 @@ func main() {
 	trace := flag.Bool("trace", false, "print the step-by-step memory trace")
 	dot := flag.String("dot", "", "write a Graphviz rendering (tree + schedule steps) to this file")
 	doSearch := flag.Bool("search", false, "post-optimize each schedule with local search")
-	workers := flag.Int("workers", 0, "expansion-engine workers: 0 = auto (GOMAXPROCS on large trees), 1 = sequential; results are identical for every setting")
+	workers := flag.Int("workers", 0, "workers of the expansion engine's initial profile warm: 0 = auto (GOMAXPROCS on large trees), 1 = sequential; results are identical for every setting")
 	cacheBudget := flag.String("cache-budget", "", "resident-byte budget of the expansion engine's profile caches, e.g. 64MiB (empty or 0 = unlimited); results are identical for every budget")
 	out := flag.String("o", "", "write the last algorithm's full traversal (σ, τ) as JSON to this file")
 	streamSched := flag.String("stream-sched", "", "stream the schedule to this file, one node id per line, without materializing it (RecExpand/FullRecExpand only)")

@@ -119,8 +119,10 @@ func TestDrainSIGTERM(t *testing.T) {
 		done <- result{status: resp.StatusCode, body: b, err: err}
 	}()
 
-	// Let the request get admitted and the engine start, then drain.
-	time.Sleep(300 * time.Millisecond)
+	// Drain once the request holds its lease (the engine is then running)
+	// or has already finished; polling /statz replaces a fixed sleep that
+	// a slow host could outrun.
+	waitLeased(t, base, done)
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
@@ -171,6 +173,34 @@ func TestDrainSIGTERM(t *testing.T) {
 		}
 	default:
 		t.Fatalf("in-flight stream is not crash-evident:\n...%q", tailBytes(res.body, 120))
+	}
+}
+
+// waitLeased polls /statz until the daemon reports an outstanding lease,
+// or until done (the request's result channel, buffered) has a value.
+func waitLeased[T any](t *testing.T, base string, done chan T) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for len(done) == 0 {
+		resp, err := http.Get(base + "/statz")
+		if err != nil {
+			t.Fatalf("statz: %v", err)
+		}
+		var st struct {
+			Broker struct{ Leases int } `json:"broker"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("statz: %v", err)
+		}
+		if st.Broker.Leases > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("request never leased")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,11 +203,33 @@ func TestChaosServingGrid(t *testing.T) {
 	}
 }
 
+// gatedHTTPClient is chaosHTTPClient whose every dial after the first
+// waits until open is closed: the first attempt runs at once, and no retry
+// can reach the proxy before the test lets it.
+func gatedHTTPClient(open <-chan struct{}) *http.Client {
+	var dials atomic.Int32
+	var d net.Dialer
+	return &http.Client{Transport: &http.Transport{
+		DisableKeepAlives: true,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			if dials.Add(1) > 1 {
+				select {
+				case <-open:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			return d.DialContext(ctx, network, addr)
+		},
+	}}
+}
+
 // TestChaosDrainFailover is the drain leg of the grid: server A is
-// drained mid-stream, the proxy is repointed at server B sharing A's
-// checkpoint directory, and the client's retry resumes A's flushed
+// drained after a torn stream, the proxy is repointed at server B sharing
+// A's checkpoint directory, and the client's retry resumes A's flushed
 // checkpoint on B — the reassembled stream still byte-identical to an
-// uninterrupted run.
+// uninterrupted run. The client's retries are held at the dial until the
+// proxy points at B, so the handoff is forced, not won by timing.
 func TestChaosDrainFailover(t *testing.T) {
 	ckptDir := t.TempDir()
 	tr, M := chaosInstance(t, 20000, 103)
@@ -243,9 +267,10 @@ func TestChaosDrainFailover(t *testing.T) {
 	}
 	defer p.Close()
 
+	handoff := make(chan struct{})
 	c := schedclient.New(schedclient.Config{
 		BaseURL:       "http://" + p.Addr(),
-		HTTPClient:    chaosHTTPClient(),
+		HTTPClient:    gatedHTTPClient(handoff),
 		MaxAttempts:   10,
 		BaseBackoff:   5 * time.Millisecond,
 		MaxBackoff:    100 * time.Millisecond,
@@ -264,11 +289,10 @@ func TestChaosDrainFailover(t *testing.T) {
 
 	// Wait for the torn attempt to settle on A (its keyed checkpoint and
 	// journal entry are then durably in the shared directory), repoint
-	// the proxy at B, and drain A. A may record the attempt as errored
-	// (the cut propagated) or served (the proxy swallowed the tail after
-	// A finished) — both leave the durable state the retry needs. A retry
-	// that slips into A first is cut by the drain; either way the request
-	// finishes on B.
+	// the proxy at B, release the held retry and drain A. A may record the
+	// attempt as errored (the cut propagated) or served (the proxy
+	// swallowed the tail after A finished) — both leave the durable state
+	// the retry needs, and the retry can only land on B.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := sA.Stats()
@@ -281,6 +305,7 @@ func TestChaosDrainFailover(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	p.SetTarget(srvB.Listener.Addr().String())
+	close(handoff)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := sA.Drain(ctx); err != nil {

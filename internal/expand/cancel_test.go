@@ -85,8 +85,8 @@ func TestCancelMidStream(t *testing.T) {
 	}
 }
 
-// TestCancelDuringParallelExpand races a late cancellation against the
-// sharded driver (run under -race in CI): whether the cancel lands or the
+// TestCancelDuringParallelExpand races a late cancellation against a run
+// with a sharded warm (run under -race in CI): whether the cancel lands or the
 // run wins, the outcome must be either ctx.Err() or the exact
 // uncancelled result, and the engine must complete a clean rerun.
 func TestCancelDuringParallelExpand(t *testing.T) {

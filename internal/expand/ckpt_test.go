@@ -123,9 +123,8 @@ func TestCkptKillAnywhereResume(t *testing.T) {
 }
 
 // TestCkptKillAnywhereResumeParallel is the same grid with the armed run
-// on the parallel driver (forced Workers=4): checkpoints written by the
-// merger — including mid-unit-replay states — must all resume, on the
-// sequential walk, to the bit-identical Result.
+// on a sharded warm (forced Workers=4): every checkpoint it writes must
+// resume to the bit-identical Result.
 func TestCkptKillAnywhereResumeParallel(t *testing.T) {
 	n := 12
 	if testing.Short() {

@@ -91,13 +91,13 @@ func DeepChain(spine, bushy int, seed int64) (*core.Instance, error) {
 	return core.NewInstance(fmt.Sprintf("deepchain-%d-%d", spine, bushy), t), nil
 }
 
-// Forest builds the maximally parallel regime of the sharded expansion
-// driver: a weight-1 root over k copies of one I/O-bound SYNTH subtree of
-// `bushy` nodes, each behind a weight-1 buffer node. Identical copies give
-// every branch the same peak, so the mid memory bound overflows all k
-// branches at once — k independent, equally sized expansion work units —
-// while the buffer nodes keep the forest's peak driven by the subtree
-// peaks rather than by the sum of the subtree outputs.
+// Forest builds the wide regime of the engine: a weight-1 root over k
+// copies of one I/O-bound SYNTH subtree of `bushy` nodes, each behind a
+// weight-1 buffer node — k equal shards for the sharded profile warm.
+// Identical copies give every branch the same peak, so the mid memory
+// bound overflows all k branches at once, while the buffer nodes keep the
+// forest's peak driven by the subtree peaks rather than by the sum of the
+// subtree outputs.
 func Forest(k, bushy int, seed int64) (*core.Instance, error) {
 	if k < 1 || bushy < 1 {
 		return nil, fmt.Errorf("experiments: Forest needs k ≥ 1 and bushy ≥ 1, got %d and %d", k, bushy)

@@ -23,8 +23,7 @@ package liu
 // is guaranteed exactly when every ancestor of v is dirty (then their
 // slices and rope chains were freed by the Invalidate that dirtied them) —
 // trivially true at the root — and when no Pin is outstanding anywhere in
-// the cache (a pinned unit root means a concurrent snapshot reader may be
-// walking the ropes). When either condition fails, the releasing entry
+// the cache (another pinned walk may still be reading the ropes). When either condition fails, the releasing entry
 // points degrade to the non-consuming walk, so callers never need to check
 // first; results are identical either way.
 //

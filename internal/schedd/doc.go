@@ -7,8 +7,7 @@
 //
 // The robustness core is the budget lease broker (Broker): one global
 // MaxResidentBytes budget is partitioned across concurrent requests as
-// per-request leases, generalizing the per-unit token bucket of
-// expand.Options.MaxUnitLead to the request level. Each admitted request
+// per-request leases. Each admitted request
 // runs its engine under a profile-cache budget equal to its lease, so the
 // sum of resident cache footprints stays inside the global budget no
 // matter how many tenants are active. Requests that cannot acquire a

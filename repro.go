@@ -82,8 +82,9 @@ func Schedule(t *Tree, M int64, alg Algorithm) (*Result, error) {
 // memory without ever changing results — the library counterparts of the
 // -workers and -cache-budget flags of cmd/sched and cmd/minio-bench.
 type Tuning struct {
-	// Workers shards the expansion heuristics' postorder walk: 0 = auto
-	// (GOMAXPROCS on large trees), 1 = sequential, >1 = that many workers.
+	// Workers shards the expansion heuristics' initial profile warm (the
+	// walk itself is sequential): 0 = auto (GOMAXPROCS on large trees),
+	// 1 = sequential warm, >1 = that many warm workers.
 	Workers int
 	// CacheBudget bounds the resident bytes of the engine's profile
 	// caches; clean profiles beyond it are evicted and recomputed on
